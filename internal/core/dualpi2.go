@@ -116,9 +116,11 @@ type DualLink struct {
 
 	// Statistics, split per queue. Exact samples by default; the heavy
 	// many-flow tier swaps in constant-memory histograms (assign before
-	// the first enqueue).
+	// the first enqueue). Pointing both at one collector yields the
+	// combined queue-delay distribution.
 	LSojourn, CSojourn stats.Quantiler // seconds
-	drops              int
+	Delivered          stats.RateMeter
+	drops              [2]int // by link.DropAQM / link.DropOverflow
 	lMarks, cMarks     int
 	busySince          time.Duration
 	busyTotal          time.Duration
@@ -164,7 +166,7 @@ func pMaxFor(maxClassic float64) float64 {
 func (d *DualLink) PPrime() float64 { return d.core.P() }
 
 // Drops returns the total dropped-packet count.
-func (d *DualLink) Drops() int { return d.drops }
+func (d *DualLink) Drops() int { return d.drops[link.DropAQM] + d.drops[link.DropOverflow] }
 
 // Marks returns the CE marks applied to the L and C queues respectively.
 func (d *DualLink) Marks() (l, c int) { return d.lMarks, d.cMarks }
@@ -222,7 +224,7 @@ func (d *DualLink) Enqueue(p *packet.Packet) {
 func (d *DualLink) drop(p *packet.Packet, r link.DropReason) {
 	now := d.sim.Now()
 	d.aud.DroppedPkt(p, now, false)
-	d.drops++
+	d.drops[r]++
 	if d.OnDrop != nil {
 		d.OnDrop(p, r)
 	} else {
@@ -285,6 +287,7 @@ func (d *DualLink) txDone() {
 	p := d.txPkt
 	d.txPkt = nil
 	d.busyTotal += d.sim.Now() - d.busySince
+	d.Delivered.Add(p.WireLen)
 	d.aud.Delivered(p, d.sim.Now())
 	d.deliver(p)
 	d.busy = false
@@ -303,6 +306,43 @@ func (d *DualLink) RateBps() float64 { return d.rate }
 // Audit returns the always-on invariant auditor (same identities as
 // link.Link's, over the combined L+C backlog).
 func (d *DualLink) Audit() *link.Auditor { return &d.aud }
+
+// BacklogPackets returns the packets queued in L and C together.
+func (d *DualLink) BacklogPackets() int { return d.lq.len() + d.cq.len() }
+
+// BacklogBytes returns the bytes queued in L and C together.
+func (d *DualLink) BacklogBytes() int { return d.lq.bytes + d.cq.bytes }
+
+// QueueDelayNow implements link.Bottleneck: the combined backlog divided
+// by the current capacity.
+func (d *DualLink) QueueDelayNow() time.Duration {
+	if d.rate <= 0 {
+		return 0
+	}
+	return time.Duration(float64(d.BacklogBytes()*8) / d.rate * float64(time.Second))
+}
+
+// SojournStats implements link.Bottleneck: the L queue's collector, which
+// holds every packet's delay when LSojourn and CSojourn share one.
+func (d *DualLink) SojournStats() stats.Quantiler { return d.LSojourn }
+
+// DeliveredBytes implements link.Bottleneck.
+func (d *DualLink) DeliveredBytes() int64 { return d.Delivered.Bytes() }
+
+// Counts implements link.Bottleneck; marks sum both queues.
+func (d *DualLink) Counts() (aqmDrops, overflowDrops, marks int) {
+	return d.drops[link.DropAQM], d.drops[link.DropOverflow], d.lMarks + d.cMarks
+}
+
+// ResetStats starts a fresh measurement window at the current time, with
+// link.Link.ResetStats's semantics. The auditor is never reset.
+func (d *DualLink) ResetStats() {
+	d.LSojourn.Reset()
+	d.CSojourn.Reset()
+	d.Delivered.Reset(d.sim.Now())
+	d.drops = [2]int{}
+	d.lMarks, d.cMarks = 0, 0
+}
 
 // Utilization returns the busy fraction since simulation start.
 func (d *DualLink) Utilization() float64 {

@@ -1,18 +1,12 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"time"
 
 	"pi2/internal/campaign"
-	"pi2/internal/core"
 	"pi2/internal/faults"
-	"pi2/internal/link"
-	"pi2/internal/sim"
-	"pi2/internal/stats"
-	"pi2/internal/tcp"
 	"pi2/internal/traffic"
 )
 
@@ -109,33 +103,13 @@ func (p ChaosPoint) Metrics() map[string]float64 {
 // returned points still cover the cells that completed; failed cells appear
 // with Failed-style zero metrics in the table via PrintChaos.
 func Chaos(o Options) ([]ChaosPoint, []string, error) {
-	tasks := chaosTasks(o)
-	out := make([]ChaosPoint, len(tasks))
-	bad := make([]bool, len(tasks))
-	// Records stream and fold by index as they arrive; the failure list is
-	// assembled in matrix order afterwards so tables and errors stay
-	// deterministic under any completion order.
-	campaign.ExecuteStream(tasks, o.execFor("chaos", gridSpec{}), func(rec campaign.RunRecord) {
-		scn, _ := rec.Params["scenario"].(string)
-		aqmName, _ := rec.Params["aqm"].(string)
-		p, ok := rec.Result.(ChaosPoint)
-		if rec.Err != "" || !ok {
-			bad[rec.Index] = true
-			out[rec.Index] = ChaosPoint{Scenario: scn, AQM: aqmName}
-			return
-		}
-		out[rec.Index] = p
-	})
-	var failed []string
-	for i, b := range bad {
-		if b {
-			failed = append(failed, fmt.Sprintf("%s/%s", out[i].Scenario, out[i].AQM))
-		}
-	}
-	if len(failed) > 0 {
-		return out, failed, errors.New("chaos cells failed: " + fmt.Sprint(failed))
-	}
-	return out, nil, nil
+	return streamPoints(chaosTasks(o), o.execFor("chaos", gridSpec{}), "chaos",
+		func(params map[string]any) ChaosPoint {
+			scn, _ := params["scenario"].(string)
+			aqmName, _ := params["aqm"].(string)
+			return ChaosPoint{Scenario: scn, AQM: aqmName}
+		},
+		func(p ChaosPoint) string { return p.Scenario + "/" + p.AQM })
 }
 
 // chaosTasks builds the scenario × AQM matrix; AQM arms of one scenario
@@ -150,9 +124,6 @@ func chaosTasks(o Options) []campaign.Task {
 				SeedIndex: si, // paired across AQMs within one scenario
 				Params:    map[string]any{"scenario": scn, "aqm": aqmName},
 				Run: func(tc *campaign.TaskCtx) any {
-					if aqmName == "dualpi2" {
-						return runChaosDual(o, tc, scn)
-					}
 					return runChaosCell(o, tc, scn, aqmName)
 				},
 			})
@@ -165,21 +136,16 @@ func chaosDuration(o Options) time.Duration {
 	return o.scale(60 * time.Second)
 }
 
-// runChaosCell is a single-queue cell (PIE or PI2) through the scenario
-// runner with the cell's own impairment config.
+// runChaosCell is one cell through the scenario runner with the cell's own
+// impairment config: the injector wraps delivery after the bottleneck and
+// the rate schedule drives its capacity, whichever queue it is.
 func runChaosCell(o Options, tc *campaign.TaskCtx, scenario, aqmName string) ChaosPoint {
-	target := o.target()
-	factory, ok := FactoryByName(aqmName, target)
-	if !ok {
-		panic("unknown AQM " + aqmName)
-	}
 	dur := chaosDuration(o)
 	sc := Scenario{
 		Seed:        tc.Seed,
 		Watch:       tc.Watch,
 		Shards:      tc.Shards,
 		LinkRateBps: chaosLinkBps,
-		NewAQM:      factory,
 		Impair:      chaosImpair(scenario, o),
 		Bulk: []traffic.BulkFlowSpec{
 			{CC: "cubic", Count: 4, RTT: chaosRTT, Label: "cubic"},
@@ -188,6 +154,7 @@ func runChaosCell(o Options, tc *campaign.TaskCtx, scenario, aqmName string) Cha
 		Duration: dur,
 		WarmUp:   dur / 4,
 	}
+	setBottleneck(&sc, aqmName, o.target())
 	r := Run(sc)
 	return ChaosPoint{
 		Scenario:   scenario,
@@ -199,80 +166,6 @@ func runChaosCell(o Options, tc *campaign.TaskCtx, scenario, aqmName string) Cha
 		FaultDrops: r.FaultDrops,
 		Events:     r.Events,
 	}
-}
-
-// runChaosDual is the DualPI2 cell, hand-wired around core.DualLink with the
-// same impairment placement as the scenario runner: the injector wraps the
-// delivery callback after the bottleneck, and the rate schedule drives the
-// dual link's capacity.
-func runChaosDual(o Options, tc *campaign.TaskCtx, scenario string) ChaosPoint {
-	dur := chaosDuration(o)
-	warm := dur / 4
-
-	s := sim.New(tc.Seed)
-	tc.Watch(s)
-	d := link.NewDispatcher()
-	cfg := chaosImpair(scenario, o)
-	deliver := d.Deliver
-	var inj *faults.Injector
-	if cfg.Active() {
-		inj = faults.NewInjector(s, *cfg, d.Deliver)
-		deliver = inj.Deliver
-	}
-	dual := core.NewDualLink(s, chaosLinkBps, core.DualConfig{}, deliver)
-	if cfg.Rate != nil {
-		cfg.Rate.Apply(s, dual)
-	}
-	soj := &stats.Sample{}
-	dual.LSojourn = soj
-	dual.CSojourn = soj
-
-	var flows []*tcp.Endpoint
-	id := 1
-	mk := func(cc tcp.CongestionControl, mode tcp.ECNMode) {
-		ep := tcp.NewWithEnqueuer(s, dual.Enqueue, tcp.Config{
-			ID: id, CC: cc, ECN: mode, BaseRTT: chaosRTT,
-		})
-		d.Register(id, ep.DeliverData)
-		ep.Start()
-		id++
-		flows = append(flows, ep)
-	}
-	for i := 0; i < 4; i++ {
-		mk(&tcp.Cubic{}, tcp.ECNOff)
-	}
-	for i := 0; i < 4; i++ {
-		mk(&tcp.DCTCP{}, tcp.ECNScalable)
-	}
-	s.At(warm, func() {
-		now := s.Now()
-		for _, ep := range flows {
-			ep.Goodput.Reset(now)
-		}
-		soj.Reset()
-	})
-	s.RunUntil(dur)
-	if msg := dual.Audit().Err("duallink"); msg != "" {
-		panic(msg)
-	}
-	now := s.Now()
-	rates := make([]float64, 0, len(flows))
-	for _, ep := range flows {
-		rates = append(rates, ep.Goodput.RateBps(now))
-	}
-	pt := ChaosPoint{
-		Scenario: scenario,
-		AQM:      "dualpi2",
-		Jain:     stats.JainIndex(rates),
-		QMeanMs:  soj.Mean() * 1e3,
-		QP99Ms:   soj.Percentile(99) * 1e3,
-		Util:     dual.Utilization(),
-		Events:   s.Processed(),
-	}
-	if inj != nil {
-		pt.FaultDrops = inj.Dropped
-	}
-	return pt
 }
 
 // PrintChaos writes the robustness table. Failed cells (named in failed)

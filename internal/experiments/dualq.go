@@ -8,10 +8,7 @@ import (
 	"pi2/internal/campaign"
 	"pi2/internal/core"
 	"pi2/internal/fq"
-	"pi2/internal/link"
-	"pi2/internal/sim"
 	"pi2/internal/stats"
-	"pi2/internal/tcp"
 	"pi2/internal/traffic"
 )
 
@@ -72,111 +69,56 @@ func dualqTasks(o Options, na, nb int) []campaign.Task {
 		{
 			Name: "dualq/single", SeedIndex: 0,
 			Params: map[string]any{"na": na, "nb": nb},
-			Run:    func(tc *campaign.TaskCtx) any { return dualQSingleArm(o, tc, na, nb) },
+			Run:    func(tc *campaign.TaskCtx) any { return dualQArm(o, tc, na, nb, false) },
 		},
 		{
 			Name: "dualq/dual", SeedIndex: 0,
 			Params: map[string]any{"na": na, "nb": nb},
-			Run:    func(tc *campaign.TaskCtx) any { return dualQDualArm(o, tc, na, nb) },
+			Run:    func(tc *campaign.TaskCtx) any { return dualQArm(o, tc, na, nb, true) },
 		},
 	}
 }
 
-// dualQSingleArm is the single shared queue: per-class delay comes from the
-// per-packet sample split by ECN — approximate with the shared-queue sample
-// for both classes (that is the point: in a single queue they are identical).
-func dualQSingleArm(o Options, tc *campaign.TaskCtx, na, nb int) dualArm {
-	const (
-		rate = 40e6
-		rtt  = 10 * time.Millisecond
-	)
+// arrangementScenario is the traffic every queue arrangement carries: NA
+// Cubic + NB DCTCP flows at 40 Mb/s and 10 ms RTT, on one shared seed.
+func arrangementScenario(o Options, tc *campaign.TaskCtx, na, nb int) Scenario {
 	dur := o.scale(100 * time.Second)
-	sc := Scenario{
+	return Scenario{
 		Seed:        tc.Seed,
 		Watch:       tc.Watch,
-		LinkRateBps: rate,
-		NewAQM:      PI2Factory(20 * time.Millisecond),
+		LinkRateBps: 40e6,
+		Bulk:        bulkPair(na, nb, 10*time.Millisecond),
 		Duration:    dur,
 		WarmUp:      dur * 2 / 5,
 	}
-	sc.Bulk = append(sc.Bulk, bulkPair(na, nb, rtt)...)
-	r := Run(sc)
-	q := scaleQ(quantiles(r.Sojourn), 1e3)
-	return dualArm{
-		Ratio:    perFlowRatio(r),
-		Jain:     jainOf(r),
-		LDelayMs: q,
-		CDelayMs: q,
-		Util:     r.Utilization,
-	}
 }
 
-// dualQDualArm is the DualPI2 arrangement: custom wiring around core.DualLink.
-func dualQDualArm(o Options, tc *campaign.TaskCtx, na, nb int) dualArm {
-	const (
-		rate = 40e6
-		rtt  = 10 * time.Millisecond
-	)
-	dur := o.scale(100 * time.Second)
-	warm := dur * 2 / 5
-
-	s := sim.New(tc.Seed)
-	tc.Watch(s)
-	d := link.NewDispatcher()
-	dual := core.NewDualLink(s, rate, core.DualConfig{}, d.Deliver)
-	var cubics, dctcps []*tcp.Endpoint
-	id := 1
-	mk := func(cc tcp.CongestionControl, mode tcp.ECNMode) *tcp.Endpoint {
-		ep := tcp.NewWithEnqueuer(s, dual.Enqueue, tcp.Config{
-			ID: id, CC: cc, ECN: mode, BaseRTT: rtt,
+// dualQArm runs one arrangement. The single shared queue reports its one
+// sojourn distribution for both classes (that is the point: in a single
+// queue they are identical); the DualPI2 arm reads the L/C split through
+// the link its factory captured, with C given its own collector.
+func dualQArm(o Options, tc *campaign.TaskCtx, na, nb int, dual bool) dualArm {
+	sc := arrangementScenario(o, tc, na, nb)
+	var dl *core.DualLink
+	if dual {
+		sc.NewBottleneck = DualPI2Bottleneck(core.DualConfig{}, func(d *core.DualLink) {
+			dl = d
+			d.CSojourn = &stats.Sample{}
 		})
-		d.Register(id, ep.DeliverData)
-		ep.Start()
-		id++
-		return ep
+	} else {
+		sc.NewAQM = PI2Factory(20 * time.Millisecond)
 	}
-	for i := 0; i < na; i++ {
-		cubics = append(cubics, mk(&tcp.Cubic{}, tcp.ECNOff))
-	}
-	for i := 0; i < nb; i++ {
-		dctcps = append(dctcps, mk(&tcp.DCTCP{}, tcp.ECNScalable))
-	}
-	s.At(warm, func() {
-		now := s.Now()
-		for _, ep := range append(append([]*tcp.Endpoint{}, cubics...), dctcps...) {
-			ep.Goodput.Reset(now)
-		}
-		dual.LSojourn.Reset()
-		dual.CSojourn.Reset()
-	})
-	s.RunUntil(dur)
-	if msg := dual.Audit().Err("duallink"); msg != "" {
-		panic(msg)
-	}
-	now := s.Now()
-	mean := func(eps []*tcp.Endpoint) float64 {
-		if len(eps) == 0 {
-			return 0
-		}
-		var sum float64
-		for _, ep := range eps {
-			sum += ep.Goodput.RateBps(now)
-		}
-		return sum / float64(len(eps))
-	}
+	r := Run(sc)
 	arm := dualArm{
-		LDelayMs: scaleQ(quantiles(dual.LSojourn), 1e3),
-		CDelayMs: scaleQ(quantiles(dual.CSojourn), 1e3),
-		Util:     dual.Utilization(),
+		Ratio:    perFlowRatio(r),
+		Jain:     jainOf(r),
+		LDelayMs: scaleQ(quantiles(r.Sojourn), 1e3),
+		Util:     r.Utilization,
 	}
-	if d := mean(dctcps); d > 0 {
-		arm.Ratio = mean(cubics) / d
+	arm.CDelayMs = arm.LDelayMs
+	if dl != nil {
+		arm.CDelayMs = scaleQ(quantiles(dl.CSojourn), 1e3)
 	}
-	var rates []float64
-	for _, ep := range append(append([]*tcp.Endpoint{}, cubics...), dctcps...) {
-		rates = append(rates, ep.Goodput.RateBps(now))
-	}
-	arm.Jain = stats.JainIndex(rates)
 	return arm
 }
 
@@ -253,64 +195,15 @@ func fqTasks(o Options, na, nb int) []campaign.Task {
 }
 
 func fqArrangementArm(o Options, tc *campaign.TaskCtx, na, nb int) FQRow {
-	const (
-		rate = 40e6
-		rtt  = 10 * time.Millisecond
-	)
-	dur := o.scale(100 * time.Second)
-	warm := dur * 2 / 5
-
-	s := sim.New(tc.Seed)
-	tc.Watch(s)
-	d := link.NewDispatcher()
-	l := fq.New(s, fq.Config{RateBps: rate}, d.Deliver)
-	var cubics, dctcps []*tcp.Endpoint
-	id := 1
-	mk := func(cc tcp.CongestionControl, mode tcp.ECNMode) *tcp.Endpoint {
-		ep := tcp.NewWithEnqueuer(s, l.Enqueue, tcp.Config{
-			ID: id, CC: cc, ECN: mode, BaseRTT: rtt,
-		})
-		d.Register(id, ep.DeliverData)
-		ep.Start()
-		id++
-		return ep
+	sc := arrangementScenario(o, tc, na, nb)
+	sc.NewBottleneck = FQCoDelBottleneck(fq.Config{})
+	r := Run(sc)
+	return FQRow{
+		Ratio:   perFlowRatio(r),
+		Jain:    jainOf(r),
+		DelayMs: scaleQ(quantiles(r.Sojourn), 1e3),
+		Util:    r.Utilization,
 	}
-	for i := 0; i < na; i++ {
-		cubics = append(cubics, mk(&tcp.Cubic{}, tcp.ECNOff))
-	}
-	for i := 0; i < nb; i++ {
-		dctcps = append(dctcps, mk(&tcp.DCTCP{}, tcp.ECNScalable))
-	}
-	s.At(warm, func() {
-		now := s.Now()
-		for _, ep := range append(append([]*tcp.Endpoint{}, cubics...), dctcps...) {
-			ep.Goodput.Reset(now)
-		}
-		l.Sojourn = stats.Sample{}
-	})
-	s.RunUntil(dur)
-	now := s.Now()
-	mean := func(eps []*tcp.Endpoint) float64 {
-		if len(eps) == 0 {
-			return 0
-		}
-		var sum float64
-		for _, ep := range eps {
-			sum += ep.Goodput.RateBps(now)
-		}
-		return sum / float64(len(eps))
-	}
-	row := FQRow{Util: l.Utilization()}
-	if d := mean(dctcps); d > 0 {
-		row.Ratio = mean(cubics) / d
-	}
-	row.DelayMs = scaleQ(quantiles(&l.Sojourn), 1e3)
-	var rates []float64
-	for _, ep := range append(append([]*tcp.Endpoint{}, cubics...), dctcps...) {
-		rates = append(rates, ep.Goodput.RateBps(now))
-	}
-	row.Jain = stats.JainIndex(rates)
-	return row
 }
 
 // PrintArrangements writes the three-way comparison: coupled single queue,

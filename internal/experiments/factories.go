@@ -49,6 +49,21 @@ func PIFactory(target time.Duration) AQMFactory {
 	}
 }
 
+// setBottleneck points a scenario at the named discipline: "dualpi2" is
+// the DualPI2 dual-queue bottleneck, any other name a FactoryByName AQM on
+// the default link. It panics on an unknown name.
+func setBottleneck(sc *Scenario, name string, target time.Duration) {
+	if name == "dualpi2" {
+		sc.NewBottleneck = DualPI2Bottleneck(core.DualConfig{Config: core.Config{Target: target}}, nil)
+		return
+	}
+	factory, ok := FactoryByName(name, target)
+	if !ok {
+		panic("unknown AQM " + name)
+	}
+	sc.NewAQM = factory
+}
+
 // FactoryByName resolves an AQM name used on CLI flags and sweep labels.
 // Recognized: pi2, pie, bare-pie, pi, red, codel, taildrop.
 func FactoryByName(name string, target time.Duration) (AQMFactory, bool) {

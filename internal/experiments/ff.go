@@ -44,9 +44,12 @@ func ffEligible(sc Scenario) bool {
 }
 
 // newFFEngine builds the engine for an eligible scenario, or nil when the
-// scenario or the AQM does not support fast-forward.
-func newFFEngine(sc Scenario, clock ff.Clock, l *link.Link, flows []*tcp.Endpoint) *ff.Engine {
-	if !ffEligible(sc) {
+// scenario or the bottleneck does not support fast-forward: the engine
+// models a link.Link whose AQM is a FastForwarder, so DualPI2 and FQ-CoDel
+// bottlenecks always run packet by packet.
+func newFFEngine(sc Scenario, clock ff.Clock, b link.Bottleneck, flows []*tcp.Endpoint) *ff.Engine {
+	l, ok := b.(*link.Link)
+	if !ok || !ffEligible(sc) {
 		return nil
 	}
 	eng, ok := ff.New(clock, l, flows)

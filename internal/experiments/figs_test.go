@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -213,6 +214,16 @@ func TestFactoryByName(t *testing.T) {
 	if _, ok := FactoryByName("fq-codel", 0); ok {
 		t.Error("unknown AQM resolved")
 	}
+	// A bottleneck factory brings its own queue management; an AQM
+	// factory alongside it is a named error, not a silent override.
+	defer func() {
+		if err, _ := recover().(error); !errors.Is(err, ErrBottleneckAndAQM) {
+			t.Errorf("factory + NewAQM: recovered %v, want ErrBottleneckAndAQM", err)
+		}
+	}()
+	sc := withDualPI2(testScenario(1))
+	sc.NewAQM = PI2Factory(20 * time.Millisecond)
+	Run(sc)
 }
 
 func TestRunDeterministic(t *testing.T) {

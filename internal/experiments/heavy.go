@@ -339,10 +339,10 @@ func runHeavyCell(o Options, tc *campaign.TaskCtx, n int, aqmName string) HeavyP
 	return p
 }
 
-// runHeavyDual is the DualPI2 cell: hand-wired around core.DualLink (the
-// scenario runner drives single-queue links only), with both per-queue
-// sojourn collectors pointed at one shared histogram so the cell reports a
-// combined queue-delay distribution in constant memory.
+// runHeavyDual is the DualPI2 cell, with both per-queue sojourn collectors
+// pointed at one shared histogram so the cell reports a combined
+// queue-delay distribution in constant memory.
+// Hand-wired, not Run: Run's scheduled starts add 1.2% events, past perfbench's 1% traced-twin bound.
 func runHeavyDual(o Options, tc *campaign.TaskCtx, n int) HeavyPoint {
 	dur := heavyDuration(o)
 	warm := dur * 2 / 5

@@ -1,17 +1,11 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"time"
 
 	"pi2/internal/campaign"
-	"pi2/internal/core"
-	"pi2/internal/link"
-	"pi2/internal/sim"
-	"pi2/internal/stats"
-	"pi2/internal/tcp"
 	"pi2/internal/traffic"
 )
 
@@ -95,33 +89,14 @@ func (p InteropPoint) Metrics() map[string]float64 {
 // fingerprints are byte-stable across every harness parallelism knob, which
 // the determinism tests pin (-jobs and -shards must not move a single bit).
 func Interop(o Options) ([]InteropPoint, []string, error) {
-	tasks := interopTasks(o)
-	out := make([]InteropPoint, len(tasks))
-	bad := make([]bool, len(tasks))
-	// Records fold by index as they stream in; failures are listed in
-	// matrix order afterwards (deterministic under any completion order).
-	campaign.ExecuteStream(tasks, o.execFor("interop", gridSpec{}), func(rec campaign.RunRecord) {
-		cc, _ := rec.Params["cc"].(string)
-		fb, _ := rec.Params["fb"].(string)
-		aqmName, _ := rec.Params["aqm"].(string)
-		p, ok := rec.Result.(InteropPoint)
-		if rec.Err != "" || !ok {
-			bad[rec.Index] = true
-			out[rec.Index] = InteropPoint{CC: cc, Feedback: fb, AQM: aqmName}
-			return
-		}
-		out[rec.Index] = p
-	})
-	var failed []string
-	for i, b := range bad {
-		if b {
-			failed = append(failed, fmt.Sprintf("%s/%s/%s", out[i].CC, out[i].Feedback, out[i].AQM))
-		}
-	}
-	if len(failed) > 0 {
-		return out, failed, errors.New("interop cells failed: " + fmt.Sprint(failed))
-	}
-	return out, nil, nil
+	return streamPoints(interopTasks(o), o.execFor("interop", gridSpec{}), "interop",
+		func(params map[string]any) InteropPoint {
+			cc, _ := params["cc"].(string)
+			fb, _ := params["fb"].(string)
+			aqmName, _ := params["aqm"].(string)
+			return InteropPoint{CC: cc, Feedback: fb, AQM: aqmName}
+		},
+		func(p InteropPoint) string { return p.CC + "/" + p.Feedback + "/" + p.AQM })
 }
 
 // interopTasks builds the cc × feedback × AQM matrix; the AQM arms of one
@@ -155,21 +130,12 @@ func interopDuration(o Options) time.Duration {
 // exported so the fairness-invariant tests can run a single cell (at a
 // longer horizon) without paying for the whole matrix.
 func InteropCell(o Options, seed int64, watch func(campaign.Canceler), cc, fb, aqmName string) InteropPoint {
-	if aqmName == "dualpi2" {
-		return runInteropDual(o, seed, watch, cc, fb)
-	}
-	target := o.target()
-	factory, ok := FactoryByName(aqmName, target)
-	if !ok {
-		panic("unknown AQM " + aqmName)
-	}
 	dur := interopDuration(o)
 	sc := Scenario{
 		Seed:          seed,
 		Watch:         watch,
 		LinkRateBps:   interopLinkBps,
 		BufferPackets: interopBuffer,
-		NewAQM:        factory,
 		// Shards deliberately unset: see Interop.
 		Bulk: []traffic.BulkFlowSpec{
 			{CC: cc, Feedback: fb, Count: 2, RTT: interopRTT, Label: "test"},
@@ -178,6 +144,7 @@ func InteropCell(o Options, seed int64, watch func(campaign.Canceler), cc, fb, a
 		Duration: dur,
 		WarmUp:   dur / 4,
 	}
+	setBottleneck(&sc, aqmName, o.target())
 	r := Run(sc)
 	test, ref := r.Groups[0], r.Groups[1]
 	p := InteropPoint{
@@ -197,100 +164,6 @@ func InteropCell(o Options, seed int64, watch func(campaign.Canceler), cc, fb, a
 	}
 	if ref.Total() > 0 {
 		p.RateRatio = test.Total() / ref.Total()
-	}
-	return p
-}
-
-// runInteropDual is the DualPI2 cell, hand-wired around core.DualLink (the
-// scenario runner drives single-queue AQMs only), mirroring runChaosDual's
-// placement of warm-up resets and audits.
-func runInteropDual(o Options, seed int64, watch func(campaign.Canceler), cc, fb string) InteropPoint {
-	dur := interopDuration(o)
-	warm := dur / 4
-
-	s := sim.New(seed)
-	if watch != nil {
-		watch(s)
-	}
-	d := link.NewDispatcher()
-	dual := core.NewDualLink(s, interopLinkBps, core.DualConfig{
-		Config:        core.Config{Target: o.target()},
-		BufferPackets: interopBuffer,
-	}, d.Deliver)
-	soj := &stats.Sample{}
-	dual.LSojourn = soj
-	dual.CSojourn = soj
-
-	var test, ref []*tcp.Endpoint
-	id := 1
-	mk := func(ccImpl tcp.CongestionControl, mode tcp.ECNMode) *tcp.Endpoint {
-		ep := tcp.NewWithEnqueuer(s, dual.Enqueue, tcp.Config{
-			ID: id, CC: ccImpl, ECN: mode, BaseRTT: interopRTT,
-		})
-		d.Register(id, ep.DeliverData)
-		ep.Start()
-		id++
-		return ep
-	}
-	for i := 0; i < 2; i++ {
-		ccImpl, mode, err := tcp.NewCCFeedback(cc, fb)
-		if err != nil {
-			panic(err)
-		}
-		test = append(test, mk(ccImpl, mode))
-	}
-	for i := 0; i < 2; i++ {
-		ref = append(ref, mk(&tcp.Cubic{}, tcp.ECNOff))
-	}
-	// Marks/drops baselines taken at the warm boundary: the scenario runner
-	// resets the link counters there, and the paired pi2/dualpi2 columns
-	// must count over the same measurement window to be comparable.
-	var lMarks0, cMarks0, drops0 int
-	s.At(warm, func() {
-		now := s.Now()
-		for _, ep := range test {
-			ep.Goodput.Reset(now)
-		}
-		for _, ep := range ref {
-			ep.Goodput.Reset(now)
-		}
-		soj.Reset()
-		lMarks0, cMarks0 = dual.Marks()
-		drops0 = dual.Drops()
-	})
-	s.RunUntil(dur)
-	if msg := dual.Audit().Err("duallink"); msg != "" {
-		panic(msg)
-	}
-	now := s.Now()
-	sum := func(eps []*tcp.Endpoint) (tot float64, rates []float64) {
-		for _, ep := range eps {
-			r := ep.Goodput.RateBps(now)
-			tot += r
-			rates = append(rates, r)
-		}
-		return
-	}
-	testTot, testRates := sum(test)
-	refTot, refRates := sum(ref)
-	lMarks, cMarks := dual.Marks()
-	p := InteropPoint{
-		CC:       cc,
-		Feedback: fb,
-		AQM:      "dualpi2",
-		Marks:    lMarks + cMarks - lMarks0 - cMarks0,
-		Drops:    dual.Drops() - drops0,
-		QMeanMs:  soj.Mean() * 1e3,
-		QP99Ms:   soj.Percentile(99) * 1e3,
-		Util:     dual.Utilization(),
-		Jain:     stats.JainIndex(append(testRates, refRates...)),
-		Events:   s.Processed(),
-	}
-	if tot := testTot + refTot; tot > 0 {
-		p.TestShare = testTot / tot
-	}
-	if refTot > 0 {
-		p.RateRatio = testTot / refTot
 	}
 	return p
 }

@@ -7,9 +7,11 @@ import (
 
 	"pi2/internal/aqm"
 	"pi2/internal/core"
+	"pi2/internal/fq"
 	"pi2/internal/link"
 	"pi2/internal/packet"
 	"pi2/internal/sim"
+	"pi2/internal/stats"
 	"pi2/internal/tcp"
 	"pi2/internal/traffic"
 )
@@ -273,11 +275,12 @@ func TestStepMarkingVsProbabilistic(t *testing.T) {
 // run; Err() == "" certifies the whole trajectory, not just the end state.
 func TestAuditedByteAndECNConservation(t *testing.T) {
 	cases := []struct {
-		name    string
-		aqmName string
-		ccs     []string
-		udp     bool
-		buffer  int
+		name       string
+		aqmName    string
+		bottleneck BottleneckFactory // overrides aqmName's link.Link
+		ccs        []string
+		udp        bool
+		buffer     int
 	}{
 		// Coupled AQM, Classic + Scalable + unresponsive NotECT load.
 		{name: "pi2-mixed", aqmName: "pi2", ccs: []string{"cubic", "dctcp"}, udp: true, buffer: 200},
@@ -287,20 +290,30 @@ func TestAuditedByteAndECNConservation(t *testing.T) {
 		{name: "taildrop-reno", aqmName: "taildrop", ccs: []string{"reno", "reno", "reno"}, buffer: 25},
 		// RED marking with Scalable traffic.
 		{name: "red-dctcp", aqmName: "red", ccs: []string{"dctcp"}, udp: true, buffer: 200},
+		// Dual queue: Classic squared drops, L-queue marks, shared overflow.
+		{name: "dualpi2", bottleneck: DualPI2Bottleneck(core.DualConfig{}, nil),
+			ccs: []string{"cubic", "dctcp"}, udp: true, buffer: 200},
+		// Per-flow CoDel head drops and marks behind DRR scheduling.
+		{name: "fq-codel", bottleneck: FQCoDelBottleneck(fq.Config{}),
+			ccs: []string{"cubic", "dctcp", "ecn-cubic"}, udp: true, buffer: 200},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			s := sim.New(11)
 			d := link.NewDispatcher()
-			factory, ok := FactoryByName(tc.aqmName, 20*time.Millisecond)
-			if !ok {
-				t.Fatalf("unknown AQM %q", tc.aqmName)
+			newB := tc.bottleneck
+			if newB == nil {
+				factory, ok := FactoryByName(tc.aqmName, 20*time.Millisecond)
+				if !ok {
+					t.Fatalf("unknown AQM %q", tc.aqmName)
+				}
+				newB = linkBottleneck(factory)
 			}
-			l := link.New(s, link.Config{
+			b := newB(s, link.Config{
 				RateBps:       20e6,
 				BufferPackets: tc.buffer,
-				AQM:           factory(s.RNG()),
+				Sojourn:       &stats.Sample{},
 			}, d.Deliver)
 			ect := false
 			for i, cc := range tc.ccs {
@@ -311,30 +324,34 @@ func TestAuditedByteAndECNConservation(t *testing.T) {
 				if mode != tcp.ECNOff {
 					ect = true
 				}
-				ep := tcp.New(s, l, tcp.Config{
+				ep := tcp.NewWithEnqueuer(s, traffic.Ingress(b), tcp.Config{
 					ID: i + 1, CC: ccImpl, ECN: mode, BaseRTT: 10 * time.Millisecond,
 				})
 				d.Register(i+1, ep.DeliverData)
 				ep.Start()
 			}
 			if tc.udp {
-				traffic.StartUDP(s, l, d, 1000, traffic.UDPSpec{RateBps: 8e6})
+				traffic.StartUDP(s, b, d, 1000, traffic.UDPSpec{RateBps: 8e6})
 			}
 			s.RunUntil(12 * time.Second)
 
-			aud := l.Audit()
+			aud := b.Audit()
 			if msg := aud.Err(tc.name); msg != "" {
 				t.Fatalf("auditor violations:\n%s", msg)
 			}
 			// Byte ledger. offered = accepted + preDrops and
 			// accepted = dequeued + postDrops + backlog combine into one
 			// exported identity: offered = dequeued + drops + backlog.
-			wantBytes := aud.DequeuedBytes + aud.DroppedBytes + int64(l.BacklogBytes())
+			q := b.(interface {
+				BacklogBytes() int
+				BacklogPackets() int
+			})
+			wantBytes := aud.DequeuedBytes + aud.DroppedBytes + int64(q.BacklogBytes())
 			if aud.OfferedBytes != wantBytes {
 				t.Errorf("byte conservation: offered %d != dequeued+dropped+backlog %d",
 					aud.OfferedBytes, wantBytes)
 			}
-			wantPkts := aud.DequeuedPackets + aud.DroppedPackets + l.BacklogPackets()
+			wantPkts := aud.DequeuedPackets + aud.DroppedPackets + q.BacklogPackets()
 			if aud.OfferedPackets != wantPkts {
 				t.Errorf("packet conservation: offered %d != dequeued+dropped+backlog %d",
 					aud.OfferedPackets, wantPkts)
@@ -350,8 +367,12 @@ func TestAuditedByteAndECNConservation(t *testing.T) {
 				t.Errorf("marks %d + drops %d exceed arrivals %d",
 					aud.MarkedPackets, aud.DroppedPackets, aud.OfferedPackets)
 			}
-			if aud.MarkedPackets != l.Marks() {
-				t.Errorf("auditor marks %d != link marks %d", aud.MarkedPackets, l.Marks())
+			aqmDrops, overflow, marks := b.Counts()
+			if aud.MarkedPackets != marks {
+				t.Errorf("auditor marks %d != bottleneck marks %d", aud.MarkedPackets, marks)
+			}
+			if aud.DroppedPackets != aqmDrops+overflow {
+				t.Errorf("auditor drops %d != bottleneck drops %d+%d", aud.DroppedPackets, aqmDrops, overflow)
 			}
 			if !ect && aud.MarkedPackets != 0 {
 				t.Errorf("%d CE marks in an all-NotECT mix", aud.MarkedPackets)

@@ -5,13 +5,18 @@
 package experiments
 
 import (
+	"errors"
 	"math/rand"
 	"time"
 
 	"pi2/internal/aqm"
 	"pi2/internal/campaign"
+	"pi2/internal/core"
 	"pi2/internal/faults"
+	"pi2/internal/ff"
+	"pi2/internal/fq"
 	"pi2/internal/link"
+	"pi2/internal/packet"
 	"pi2/internal/sim"
 	"pi2/internal/stats"
 	"pi2/internal/tcp"
@@ -20,6 +25,50 @@ import (
 
 // AQMFactory builds a fresh AQM instance for one run.
 type AQMFactory func(rng *rand.Rand) aqm.AQM
+
+// BottleneckFactory builds a scenario's bottleneck on the simulator that
+// owns it. cfg carries the scenario's rate, buffer and sojourn collector
+// (its AQM is nil); deliver receives every packet that leaves the queue.
+type BottleneckFactory func(s *sim.Simulator, cfg link.Config, deliver func(*packet.Packet)) link.Bottleneck
+
+// ErrBottleneckAndAQM is Run's panic value for a Scenario that sets both
+// NewBottleneck and NewAQM: a factory-built bottleneck brings its own queue
+// management, so the AQM would be silently ignored.
+var ErrBottleneckAndAQM = errors.New("experiments: Scenario sets both NewBottleneck and NewAQM")
+
+// linkBottleneck is the default factory: a link.Link managed by newAQM.
+func linkBottleneck(newAQM AQMFactory) BottleneckFactory {
+	return func(s *sim.Simulator, lc link.Config, deliver func(*packet.Packet)) link.Bottleneck {
+		lc.AQM = newAQM(s.RNG())
+		return link.New(s, lc, deliver)
+	}
+}
+
+// DualPI2Bottleneck builds the DualPI2 coupled dual queue. Both per-queue
+// sojourn collectors point at the runner's, so Result.Sojourn is the
+// combined queue-delay distribution. onBuild, if set, receives the link
+// before the run starts (dualq keeps it to read the L/C delay split).
+func DualPI2Bottleneck(cfg core.DualConfig, onBuild func(*core.DualLink)) BottleneckFactory {
+	return func(s *sim.Simulator, lc link.Config, deliver func(*packet.Packet)) link.Bottleneck {
+		c := cfg // per run: a Scenario may be run concurrently
+		c.BufferPackets = lc.BufferPackets
+		d := core.NewDualLink(s, lc.RateBps, c, deliver)
+		d.LSojourn, d.CSojourn = lc.Sojourn, lc.Sojourn
+		if onBuild != nil {
+			onBuild(d)
+		}
+		return d
+	}
+}
+
+// FQCoDelBottleneck builds the FQ-CoDel flow-queuing bottleneck.
+func FQCoDelBottleneck(cfg fq.Config) BottleneckFactory {
+	return func(s *sim.Simulator, lc link.Config, deliver func(*packet.Packet)) link.Bottleneck {
+		c := cfg
+		c.RateBps, c.BufferPackets, c.Sojourn = lc.RateBps, lc.BufferPackets, lc.Sojourn
+		return fq.New(s, c, deliver)
+	}
+}
 
 // StagedSpec describes the varying-intensity flow schedule (Figures 6, 13).
 type StagedSpec struct {
@@ -47,8 +96,12 @@ type Scenario struct {
 	LinkRateBps float64
 	// BufferPackets bounds the queue (default 40000, Table 1).
 	BufferPackets int
-	// NewAQM builds the queue manager.
+	// NewAQM builds the queue manager of the default link.Link bottleneck.
 	NewAQM AQMFactory
+	// NewBottleneck, if set, builds the bottleneck instead of link.New, and
+	// NewAQM must be nil (Run panics with ErrBottleneckAndAQM otherwise).
+	// DualPI2Bottleneck and FQCoDelBottleneck are the non-FIFO queues.
+	NewBottleneck BottleneckFactory
 	// Bulk, Staged, UDP and Web describe the offered load.
 	Bulk   []traffic.BulkFlowSpec
 	Staged *StagedSpec
@@ -83,14 +136,14 @@ type Scenario struct {
 	// congestion-avoidance epochs are advanced analytically from one AQM
 	// update to the next instead of packet by packet (see internal/ff and
 	// DESIGN.md). Only scenarios with a steady bulk population and a
-	// FastForwarder AQM actually engage it — everything else (staged, UDP,
-	// web, rate changes, impairments, SACK) silently runs the classic
-	// per-packet loop. Off (the default) keeps the run byte-identical to
+	// link.Link whose AQM is a FastForwarder actually engage it — everything
+	// else (staged, UDP, web, rate changes, impairments, SACK, DualPI2 and
+	// FQ-CoDel bottlenecks) silently runs the classic per-packet loop. Off (the default) keeps the run byte-identical to
 	// builds without the engine.
 	FastForward bool
 	// Shards, when ≥ 2, runs the scenario on the conservative-PDES
 	// coordinator: bulk flows are partitioned across Shards-1 endpoint
-	// domains and the bottleneck link+AQM owns the last domain, all
+	// domains and the bottleneck owns domain 0, all
 	// advancing in lock-step lookahead windows (see internal/sim/shard.go).
 	// One-way propagation moves onto the cross-domain wires, so sharded
 	// results are deterministic for a fixed shard count but not
@@ -229,51 +282,87 @@ func emptyResult() *Result {
 	}
 }
 
-// Run executes a scenario to completion.
+// simRunner is what Run drives: a *sim.Simulator, or the *sim.Coordinator
+// of a sharded placement.
+type simRunner interface {
+	campaign.Canceler
+	ff.Clock
+	RunUntil(time.Duration)
+	Processed() uint64
+}
+
+// Run executes a scenario to completion. It is the one scenario assembler:
+// what varies is the bottleneck (NewBottleneck) and the placement — one
+// simulator, or, for a shardable scenario, bulk flows spread round-robin
+// over PDES endpoint domains while domain 0 owns the bottleneck and every
+// co-located workload (see sharded.go).
 func Run(sc Scenario) *Result {
 	if sc.SampleEvery == 0 {
 		sc.SampleEvery = time.Second
 	}
+	if sc.NewBottleneck != nil && sc.NewAQM != nil {
+		panic(ErrBottleneckAndAQM)
+	}
+	var (
+		run   simRunner
+		sims  []*sim.Simulator // one per domain; sims[0] owns the bottleneck
+		shard *shardPlan
+	)
 	if shardable(sc) {
-		return runSharded(sc)
+		co := sim.NewCoordinator(sc.Seed, shardDomains(sc), shardLookahead(sc))
+		shard = newShardPlan(co)
+		run, sims = co, shard.sims
+	} else {
+		s := sim.New(sc.Seed)
+		run, sims = s, []*sim.Simulator{s}
 	}
-	s := sim.New(sc.Seed)
 	if sc.Watch != nil {
-		sc.Watch(s)
+		sc.Watch(run)
 	}
+	ls := sims[0]
 	d := link.NewDispatcher()
-	// The impairment layer wraps the delivery callback *after* the link,
-	// so the link auditor's conservation identities hold unchanged with
-	// faults active. It is only constructed when impairments are
-	// configured: an unimpaired run draws no extra RNG stream.
 	deliver := d.Deliver
+	if shard != nil {
+		deliver = shard.route(d)
+	}
+	// The impairment layer wraps the delivery callback *after* the
+	// bottleneck (and before any cross-domain wire), so the auditor's
+	// conservation identities hold unchanged with faults active. It is
+	// only constructed when impairments are configured: an unimpaired run
+	// draws no extra RNG stream.
 	var inj *faults.Injector
 	if sc.Impair != nil && sc.Impair.Active() {
-		inj = faults.NewInjector(s, *sc.Impair, d.Deliver)
+		inj = faults.NewInjector(ls, *sc.Impair, deliver)
 		deliver = inj.Deliver
 	}
-	l := link.New(s, link.Config{
+	newB := sc.NewBottleneck
+	if newB == nil {
+		newB = linkBottleneck(sc.NewAQM)
+	}
+	b := newB(ls, link.Config{
 		RateBps:       sc.LinkRateBps,
 		BufferPackets: sc.BufferPackets,
-		AQM:           sc.NewAQM(s.RNG()),
 		Sojourn:       newQuantiler(sc.CompactMetrics),
 	}, deliver)
 	if sc.Impair != nil && sc.Impair.Rate != nil {
-		sc.Impair.Rate.Apply(s, l)
+		sc.Impair.Rate.Apply(ls, b)
 	}
 
 	res := &Result{
-		DelaySeries:   stats.TimeSeries{Interval: sc.SampleEvery},
-		DelayFine:     stats.TimeSeries{Interval: 100 * time.Millisecond},
-		GoodputSeries: stats.TimeSeries{Interval: sc.SampleEvery},
-		ClassicProb:   newQuantiler(sc.CompactMetrics),
-		ScalableProb:  newQuantiler(sc.CompactMetrics),
-		UtilSeries:    newQuantiler(sc.CompactMetrics),
-		WebFCT:        newQuantiler(sc.CompactMetrics),
+		DelaySeries:  stats.TimeSeries{Interval: sc.SampleEvery},
+		DelayFine:    stats.TimeSeries{Interval: 100 * time.Millisecond},
+		ClassicProb:  newQuantiler(sc.CompactMetrics),
+		ScalableProb: newQuantiler(sc.CompactMetrics),
+		UtilSeries:   newQuantiler(sc.CompactMetrics),
+		WebFCT:       newQuantiler(sc.CompactMetrics),
 	}
 
+	// doms[i] holds the long-lived flows domain i owns, in creation order;
+	// its samplers and warm-up reset touch only those.
+	doms := make([][]*tcp.Endpoint, len(sims))
 	nextID := 1
 	var groups []*traffic.BulkGroup
+	var bulk []*tcp.Endpoint
 	for _, spec := range sc.Bulk {
 		if sc.SACK {
 			spec.SACK = true
@@ -281,23 +370,30 @@ func Run(sc Scenario) *Result {
 		if spec.AckEvery == 0 {
 			spec.AckEvery = sc.AckEvery
 		}
-		g, id := traffic.StartBulk(s, l, d, nextID, spec)
+		var g *traffic.BulkGroup
+		if shard != nil {
+			g, nextID = shard.startBulk(b, nextID, spec, doms)
+		} else {
+			g, nextID = traffic.StartBulk(ls, b, d, nextID, spec)
+			doms[0] = append(doms[0], g.Flows...)
+		}
 		groups = append(groups, g)
-		nextID = id
+		bulk = append(bulk, g.Flows...)
 	}
-	var staged []*tcp.Endpoint
 	if sc.Staged != nil {
-		staged, nextID = traffic.StagedCounts(s, l, d, nextID,
+		var staged []*tcp.Endpoint
+		staged, nextID = traffic.StagedCounts(ls, b, d, nextID,
 			sc.Staged.CC, sc.Staged.RTT, sc.Staged.Counts, sc.Staged.StageLen)
+		doms[0] = append(doms[0], staged...)
 	}
 	var udps []*traffic.UDPSource
 	for _, spec := range sc.UDP {
-		udps = append(udps, traffic.StartUDP(s, l, d, nextID, spec))
+		udps = append(udps, traffic.StartUDP(ls, b, d, nextID, spec))
 		nextID++
 	}
 	var webs []*traffic.WebWorkload
 	for _, spec := range sc.Web {
-		w := traffic.StartWeb(s, l, d, &nextID, spec)
+		w := traffic.StartWeb(ls, b, d, &nextID, spec)
 		if sc.CompactMetrics {
 			// Short flows complete directly into the shared histogram;
 			// no per-flow sample storage, no merge at collection time.
@@ -307,98 +403,113 @@ func Run(sc Scenario) *Result {
 	}
 	for _, rc := range sc.RateChanges {
 		rate := rc.RateBps
-		s.At(rc.At, func() { l.SetRateBps(rate) })
+		ls.At(rc.At, func() { b.SetRateBps(rate) })
 	}
 
-	// Every long-lived flow, flattened once: the samplers below run every
-	// SampleEvery tick, and rebuilding this slice per tick was an
-	// O(flows) allocation that dominated at thousand-flow scale.
-	nFlows := len(staged)
-	for _, g := range groups {
-		nFlows += len(g.Flows)
-	}
-	flows := make([]*tcp.Endpoint, 0, nFlows)
-	for _, g := range groups {
-		flows = append(flows, g.Flows...)
-	}
-	flows = append(flows, staged...)
-
-	// Warm-up boundary: restart every steady-state statistic. In
-	// fast-forward mode the hybrid loop invokes the reset at the exact
-	// boundary instead of scheduling it: ShiftPending translates every
-	// pending event when an epoch commits — right for frozen packet
-	// processes, wrong for an absolute-calendar event like this one.
-	warmReset := func() {
-		l.ResetStats()
-		now := s.Now()
-		for _, f := range flows {
+	// Warm-up boundary: restart every steady-state statistic. Each domain
+	// resets the flows it owns, on its own simulator; domain 0 also resets
+	// the bottleneck and the UDP meters. In fast-forward mode the hybrid
+	// loop invokes the reset at the exact boundary instead of scheduling
+	// it: ShiftPending translates every pending event when an epoch
+	// commits — right for frozen packet processes, wrong for an
+	// absolute-calendar event like this one.
+	reset := func(i int, now time.Duration) {
+		for _, f := range doms[i] {
 			f.Goodput.Reset(now)
 		}
-		for _, u := range udps {
-			u.ResetStats(now)
+		if i == 0 {
+			b.ResetStats()
+			for _, u := range udps {
+				u.ResetStats(now)
+			}
 		}
 	}
-	eng := newFFEngine(sc, s, l, flows)
+	eng := newFFEngine(sc, run, b, bulk)
 	if eng == nil {
-		s.At(sc.WarmUp, warmReset)
+		for i, s := range sims {
+			s.At(sc.WarmUp, func() { reset(i, s.Now()) })
+		}
 	}
 
-	// Coarse sampler: queue delay, total goodput, per-interval utilization.
-	var lastGoodput, lastDelivered int64
-	s.Every(sc.SampleEvery, func() {
-		now := s.Now()
-		res.DelaySeries.Record(now, l.QueueDelayNow().Seconds())
-		var total int64
-		for _, f := range flows {
-			total += f.Goodput.Bytes()
-		}
-		rate := float64(total-lastGoodput) * 8 / sc.SampleEvery.Seconds()
-		lastGoodput = total
-		res.GoodputSeries.Record(now, rate)
-		delivered := l.Delivered.Bytes()
-		// The meter is reset at the warm-up boundary; skip the sample
-		// whose interval straddles the reset.
-		if now > sc.WarmUp && delivered >= lastDelivered {
-			util := float64(delivered-lastDelivered) * 8 /
-				(sc.SampleEvery.Seconds() * l.RateBps())
-			if util > 1 {
-				util = 1
+	// Coarse sampler, per domain: each reads only its own flows' goodput
+	// (the per-domain series are summed after the run); domain 0 also
+	// samples queue delay and per-interval utilization.
+	goodput := make([]stats.TimeSeries, len(sims))
+	var lastDelivered int64
+	for i, s := range sims {
+		goodput[i].Interval = sc.SampleEvery
+		var lastGoodput int64
+		s.Every(sc.SampleEvery, func() {
+			now := s.Now()
+			var total int64
+			for _, f := range doms[i] {
+				total += f.Goodput.Bytes()
 			}
-			res.UtilSeries.Add(util)
-		}
-		lastDelivered = delivered
-	})
+			goodput[i].Record(now, float64(total-lastGoodput)*8/sc.SampleEvery.Seconds())
+			lastGoodput = total
+			if i > 0 {
+				return
+			}
+			res.DelaySeries.Record(now, b.QueueDelayNow().Seconds())
+			delivered := b.DeliveredBytes()
+			// The meter is reset at the warm-up boundary; skip the sample
+			// whose interval straddles the reset.
+			if now > sc.WarmUp && delivered >= lastDelivered {
+				util := float64(delivered-lastDelivered) * 8 /
+					(sc.SampleEvery.Seconds() * b.RateBps())
+				if util > 1 {
+					util = 1
+				}
+				res.UtilSeries.Add(util)
+			}
+			lastDelivered = delivered
+		})
+	}
 
 	// Fine sampler: 100 ms queue delay + probability samples.
-	s.Every(100*time.Millisecond, func() {
-		now := s.Now()
-		res.DelayFine.Record(now, l.QueueDelayNow().Seconds())
+	var probe any = b
+	if l, ok := b.(*link.Link); ok {
+		probe = l.AQM()
+	}
+	pr, _ := probe.(aqm.ProbabilityReporter)
+	sr, _ := probe.(aqm.ScalableReporter)
+	ls.Every(100*time.Millisecond, func() {
+		now := ls.Now()
+		res.DelayFine.Record(now, b.QueueDelayNow().Seconds())
 		if now <= sc.WarmUp {
 			return
 		}
-		if pr, ok := l.AQM().(aqm.ProbabilityReporter); ok {
+		if pr != nil {
 			res.ClassicProb.Add(pr.DropProbability())
 		}
-		if sr, ok := l.AQM().(aqm.ScalableReporter); ok {
+		if sr != nil {
 			res.ScalableProb.Add(sr.ScalableProbability())
 		}
 	})
 
+	// In a sharded placement the engine runs on the coordinator thread
+	// between barrier windows, when every domain is parked at the window
+	// edge, and Coordinator.ShiftPending translates all domain clocks and
+	// in-flight wire traffic together.
 	if eng != nil {
-		runFastForward(eng, s.Now, s.RunUntil, sc, warmReset)
+		runFastForward(eng, run.Now, run.RunUntil, sc, func() {
+			now := ls.Now()
+			for i := range sims {
+				reset(i, now)
+			}
+		})
 		ffCollect(res, eng)
 	} else {
-		s.RunUntil(sc.Duration)
+		run.RunUntil(sc.Duration)
 	}
 
-	// Collect.
-	now := s.Now()
-	res.Sojourn = l.Sojourn
-	res.Utilization = l.Utilization()
-	res.DropsAQM = l.Drops(link.DropAQM)
-	res.DropsOverflow = l.Drops(link.DropOverflow)
-	res.Marks = l.Marks()
-	res.Events = s.Processed()
+	// Collect. Every domain clock sits at sc.Duration after RunUntil.
+	now := ls.Now()
+	res.Sojourn = b.SojournStats()
+	res.Utilization = b.Utilization()
+	res.DropsAQM, res.DropsOverflow, res.Marks = b.Counts()
+	res.Events = run.Processed()
+	res.GoodputSeries = sumSeries(goodput)
 	for _, g := range groups {
 		label := g.Spec.Label
 		if label == "" {
@@ -442,11 +553,38 @@ func Run(sc Scenario) *Result {
 		res.FaultDups = inj.Duplicated
 		res.FaultReorders = inj.Reordered
 	}
-	if msg := l.Audit().Err("bottleneck link"); msg != "" {
-		// A violated invariant means the run's numbers cannot be trusted;
-		// panic so the campaign engine fails this cell with the full report
-		// (which invariant, where) instead of recording bogus metrics.
+	// A violated invariant means the run's numbers cannot be trusted; panic
+	// so the campaign engine fails this cell with the full report (which
+	// invariant, where) instead of recording bogus metrics.
+	if msg := b.Audit().Err("bottleneck link"); msg != "" {
 		panic(msg)
 	}
+	if shard != nil {
+		if msg := shard.wires.Err("cross-domain wires"); msg != "" {
+			panic(msg)
+		}
+	}
 	return res
+}
+
+// sumSeries adds per-domain series index-wise; every domain ticks at the
+// same instants, so the series align (defensively truncated to the
+// shortest). A single series is returned as is.
+func sumSeries(per []stats.TimeSeries) stats.TimeSeries {
+	if len(per) == 1 {
+		return per[0]
+	}
+	n := len(per[0].Times)
+	for _, ts := range per[1:] {
+		n = min(n, len(ts.Times))
+	}
+	out := stats.TimeSeries{Interval: per[0].Interval}
+	for k := 0; k < n; k++ {
+		var sum float64
+		for _, ts := range per {
+			sum += ts.Values[k]
+		}
+		out.Record(per[0].Times[k], sum)
+	}
+	return out
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pi2/internal/campaign"
+	"pi2/internal/core"
 	"pi2/internal/packet"
 	"pi2/internal/traffic"
 )
@@ -56,17 +57,33 @@ func TestShardableGate(t *testing.T) {
 	}
 }
 
+// withDualPI2 swaps a scenario's link.Link + AQM for the DualPI2 bottleneck.
+func withDualPI2(sc Scenario) Scenario {
+	sc.NewAQM = nil
+	sc.NewBottleneck = DualPI2Bottleneck(core.DualConfig{}, nil)
+	return sc
+}
+
 // TestShardedDeterministicAcrossRuns: for a fixed shard count the coordinator
 // must be a deterministic machine — repeated runs are deep-equal, including
 // event counts, despite real goroutine parallelism inside each window.
 func TestShardedDeterministicAcrossRuns(t *testing.T) {
-	a := Run(shardedScenario(42, 4))
-	b := Run(shardedScenario(42, 4))
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("sharded runs with identical scenarios differ")
-	}
-	if a.Events == 0 || len(a.Groups) != 2 {
-		t.Fatalf("implausible sharded result: %d events, %d groups", a.Events, len(a.Groups))
+	for _, tc := range []struct {
+		name string
+		sc   Scenario
+	}{
+		{"pi2", shardedScenario(42, 4)},
+		{"dualpi2", withDualPI2(shardedScenario(42, 4))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := Run(tc.sc), Run(tc.sc)
+			if !reflect.DeepEqual(a, b) {
+				t.Fatal("sharded runs with identical scenarios differ")
+			}
+			if a.Events == 0 || len(a.Groups) != 2 {
+				t.Fatalf("implausible sharded result: %d events, %d groups", a.Events, len(a.Groups))
+			}
+		})
 	}
 }
 
@@ -101,16 +118,32 @@ func TestShardedPhysicsMatchesUnsharded(t *testing.T) {
 // TestShardedFallbackIsByteIdentical: a scenario the gate rejects must take
 // the classic path and reproduce the unsharded result exactly, so setting
 // -shards on a non-partitionable grid is a no-op rather than a behavior fork.
+// The same holds for -ff on a bottleneck the fast-forward engine refuses.
 func TestShardedFallbackIsByteIdentical(t *testing.T) {
-	single := testScenario(42)
-	forced := testScenario(42)
-	forced.Bulk = forced.Bulk[:1] // one flow: not partitionable
-	single.Bulk = single.Bulk[:1]
-	forced.Shards = 8
-	a, b := Run(single), Run(forced)
-	// Shards is scenario metadata, not a result field, so full DeepEqual holds.
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("non-shardable scenario with Shards set diverged from classic run")
+	oneFlow := testScenario(42)
+	oneFlow.Bulk = oneFlow.Bulk[:1] // one flow: not partitionable
+	for _, tc := range []struct {
+		name string
+		sc   Scenario
+		knob func(*Scenario)
+	}{
+		{"pi2-shards", oneFlow, func(sc *Scenario) { sc.Shards = 8 }},
+		{"dualpi2-shards", withDualPI2(oneFlow), func(sc *Scenario) { sc.Shards = 8 }},
+		{"dualpi2-ff", withDualPI2(ffTwinScenario(false)), func(sc *Scenario) { sc.FastForward = true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			forced := tc.sc
+			tc.knob(&forced)
+			a, b := Run(tc.sc), Run(forced)
+			// The knob is scenario metadata, not a result field, so full
+			// DeepEqual holds.
+			if !reflect.DeepEqual(a, b) {
+				t.Fatal("scenario with a rejected knob diverged from the classic run")
+			}
+			if b.FFEpochs != 0 || b.FFZeroEpochs != 0 {
+				t.Fatalf("fast-forward engaged: %d epochs, %d zero epochs", b.FFEpochs, b.FFZeroEpochs)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -60,6 +61,34 @@ func (o Options) execFor(family string, spec gridSpec) campaign.ExecOptions {
 	e.Spec = b
 	e.Dispatch = o.Dispatch
 	return e
+}
+
+// streamPoints streams a grid of one-point cells and folds each record into
+// its index. A failed cell gets the blank point built from its params; its
+// name is listed in matrix order (deterministic under any completion
+// order) and reported in the error, while the other points stay usable.
+func streamPoints[P any](tasks []campaign.Task, e campaign.ExecOptions, family string,
+	blank func(params map[string]any) P, name func(P) string) ([]P, []string, error) {
+	out := make([]P, len(tasks))
+	bad := make([]bool, len(tasks))
+	campaign.ExecuteStream(tasks, e, func(rec campaign.RunRecord) {
+		p, ok := rec.Result.(P)
+		if rec.Err != "" || !ok {
+			bad[rec.Index] = true
+			p = blank(rec.Params)
+		}
+		out[rec.Index] = p
+	})
+	var failed []string
+	for i, b := range bad {
+		if b {
+			failed = append(failed, name(out[i]))
+		}
+	}
+	if len(failed) > 0 {
+		return out, failed, errors.New(family + " cells failed: " + fmt.Sprint(failed))
+	}
+	return out, nil, nil
 }
 
 // groupFold streams a campaign whose matrix is organized as consecutive

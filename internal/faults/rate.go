@@ -6,8 +6,8 @@ import (
 	"pi2/internal/sim"
 )
 
-// RateSetter is the capacity-control surface a schedule drives. Both
-// link.Link and core.DualLink satisfy it.
+// RateSetter is the capacity-control surface a schedule drives. Every
+// link.Bottleneck (link.Link, core.DualLink, fq.Link) satisfies it.
 type RateSetter interface {
 	SetRateBps(float64)
 	RateBps() float64

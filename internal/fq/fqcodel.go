@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"pi2/internal/aqm"
+	"pi2/internal/link"
 	"pi2/internal/packet"
 	"pi2/internal/sim"
 	"pi2/internal/stats"
@@ -35,6 +36,9 @@ type Config struct {
 	// BufferPackets bounds the total backlog (default 10240, as in the
 	// Linux default limit).
 	BufferPackets int
+	// Sojourn collects the per-packet queuing delay; nil uses the exact
+	// stats.Sample.
+	Sojourn stats.Quantiler
 }
 
 type flowQueue struct {
@@ -67,26 +71,37 @@ func (q *flowQueue) pop() *packet.Packet {
 	return p
 }
 
-// Link is the FQ-CoDel bottleneck. It presents the same Enqueue/deliver
-// shape as link.Link and core.DualLink so endpoints can attach directly.
+// Link is the FQ-CoDel bottleneck. It implements link.Bottleneck, with the
+// same always-on auditor and packet-pool ownership rules as link.Link.
 type Link struct {
 	sim     *sim.Simulator
 	cfg     Config
+	rate    float64
 	deliver func(*packet.Packet)
+	pool    *packet.Pool
 
 	queues  []*flowQueue
 	newQ    []int // round-robin list of new (priority) queue indices
 	oldQ    []int // round-robin list of old queue indices
 	inList  []bool
 	backlog int
+	bytes   int
 	busy    bool
 
+	// txPkt is the packet currently serializing and txDoneFn the pre-bound
+	// completion callback, as in link.Link.
+	txPkt    *packet.Packet
+	txDoneFn sim.Event
+
 	// Statistics.
-	Sojourn   stats.Sample
-	drops     int
-	codelDrop int
+	Sojourn   stats.Quantiler // seconds
+	Delivered stats.RateMeter
+	drops     [2]int // by link.DropAQM (CoDel) / link.DropOverflow
+	marks     int
 	busySince time.Duration
 	busyTotal time.Duration
+
+	aud link.Auditor
 }
 
 // New creates an FQ-CoDel bottleneck.
@@ -106,13 +121,21 @@ func New(s *sim.Simulator, cfg Config, deliver func(*packet.Packet)) *Link {
 	if cfg.BufferPackets == 0 {
 		cfg.BufferPackets = 10240
 	}
+	soj := cfg.Sojourn
+	if soj == nil {
+		soj = &stats.Sample{}
+	}
 	l := &Link{
 		sim:     s,
 		cfg:     cfg,
+		rate:    cfg.RateBps,
 		deliver: deliver,
+		pool:    s.PacketPool(),
 		queues:  make([]*flowQueue, cfg.Queues),
 		inList:  make([]bool, cfg.Queues),
+		Sojourn: soj,
 	}
+	l.txDoneFn = l.txDone
 	return l
 }
 
@@ -126,8 +149,9 @@ func (l *Link) bucket(flowID int) int {
 // Enqueue classifies the packet into its flow queue.
 func (l *Link) Enqueue(p *packet.Packet) {
 	now := l.sim.Now()
+	l.aud.Offered(p, now)
 	if l.backlog >= l.cfg.BufferPackets {
-		l.drops++
+		l.drop(p, link.DropOverflow)
 		return
 	}
 	idx := l.bucket(p.FlowID)
@@ -141,6 +165,9 @@ func (l *Link) Enqueue(p *packet.Packet) {
 	p.EnqueuedAt = now
 	q.push(p)
 	l.backlog++
+	l.bytes += p.WireLen
+	l.aud.Accepted(p, now)
+	l.aud.Conserve(now, l.backlog, l.bytes)
 	if !l.inList[idx] {
 		// A queue becoming active enters the new-flow list with a
 		// fresh quantum (RFC 8290 §4.1).
@@ -197,6 +224,16 @@ func (l *Link) nextQueue() (int, *flowQueue) {
 	}
 }
 
+// drop counts and recycles a dropped packet: a buffer overflow at enqueue,
+// or a CoDel head drop of an already-accepted packet.
+func (l *Link) drop(p *packet.Packet, r link.DropReason) {
+	now := l.sim.Now()
+	l.aud.DroppedPkt(p, now, r == link.DropAQM)
+	l.drops[r]++
+	l.pool.Release(p)
+	l.aud.Conserve(now, l.backlog, l.bytes)
+}
+
 func (l *Link) startTx() {
 	now := l.sim.Now()
 	var p *packet.Packet
@@ -207,31 +244,44 @@ func (l *Link) startTx() {
 		}
 		cand := q.pop()
 		l.backlog--
+		l.bytes -= cand.WireLen
 		switch q.codel.DequeueVerdict(cand, codelView{q}, now) {
 		case aqm.Drop:
-			l.drops++
-			l.codelDrop++
+			l.drop(cand, link.DropAQM)
 			continue
 		case aqm.Mark:
+			l.aud.Marked(cand, now)
 			cand.ECN = packet.CE
+			l.marks++
 		}
 		q.deficit -= cand.WireLen
 		p = cand
 		break
 	}
+	l.aud.Dequeued(p, now)
+	l.aud.Conserve(now, l.backlog, l.bytes)
 	l.Sojourn.Add((now - p.EnqueuedAt).Seconds())
 
 	l.busy = true
 	l.busySince = now
-	txTime := time.Duration(float64(p.WireLen*8) / l.cfg.RateBps * float64(time.Second))
-	l.sim.After(txTime, func() {
-		l.busyTotal += l.sim.Now() - l.busySince
-		l.deliver(p)
-		l.busy = false
-		if l.backlog > 0 {
-			l.startTx()
-		}
-	})
+	l.txPkt = p
+	txTime := time.Duration(float64(p.WireLen*8) / l.rate * float64(time.Second))
+	l.sim.After(txTime, l.txDoneFn)
+}
+
+// txDone completes the in-flight packet's serialization and hands it to the
+// delivery callback.
+func (l *Link) txDone() {
+	p := l.txPkt
+	l.txPkt = nil
+	l.busyTotal += l.sim.Now() - l.busySince
+	l.Delivered.Add(p.WireLen)
+	l.aud.Delivered(p, l.sim.Now())
+	l.deliver(p)
+	l.busy = false
+	if l.backlog > 0 {
+		l.startTx()
+	}
 }
 
 // codelView adapts a flowQueue to aqm.QueueInfo for its CoDel instance.
@@ -247,14 +297,48 @@ func (v codelView) HeadSojourn(now time.Duration) time.Duration {
 }
 func (v codelView) CapacityBps() float64 { return 0 }
 
-// Drops returns total drops (overflow + CoDel).
-func (l *Link) Drops() int { return l.drops }
+// BacklogPackets returns the total queued packet count.
+func (l *Link) BacklogPackets() int { return l.backlog }
 
-// CoDelDrops returns only the CoDel-decided drops.
-func (l *Link) CoDelDrops() int { return l.codelDrop }
+// BacklogBytes returns the total queued byte count.
+func (l *Link) BacklogBytes() int { return l.bytes }
 
-// Backlog returns the total queued packet count.
-func (l *Link) Backlog() int { return l.backlog }
+// SetRateBps changes the link capacity; a packet already serializing
+// completes at the old rate.
+func (l *Link) SetRateBps(r float64) { l.rate = r }
+
+// RateBps returns the current capacity in bits/s.
+func (l *Link) RateBps() float64 { return l.rate }
+
+// QueueDelayNow implements link.Bottleneck: backlog divided by capacity.
+func (l *Link) QueueDelayNow() time.Duration {
+	if l.rate <= 0 {
+		return 0
+	}
+	return time.Duration(float64(l.bytes*8) / l.rate * float64(time.Second))
+}
+
+// SojournStats implements link.Bottleneck.
+func (l *Link) SojournStats() stats.Quantiler { return l.Sojourn }
+
+// DeliveredBytes implements link.Bottleneck.
+func (l *Link) DeliveredBytes() int64 { return l.Delivered.Bytes() }
+
+// Counts implements link.Bottleneck: CoDel drops count as AQM drops.
+func (l *Link) Counts() (aqmDrops, overflowDrops, marks int) {
+	return l.drops[link.DropAQM], l.drops[link.DropOverflow], l.marks
+}
+
+// Audit returns the always-on invariant auditor.
+func (l *Link) Audit() *link.Auditor { return &l.aud }
+
+// ResetStats starts a fresh measurement window at the current time, with
+// link.Link.ResetStats's semantics. The auditor is never reset.
+func (l *Link) ResetStats() {
+	l.Sojourn.Reset()
+	l.Delivered.Reset(l.sim.Now())
+	l.drops, l.marks = [2]int{}, 0
+}
 
 // Utilization returns the busy fraction since simulation start.
 func (l *Link) Utilization() float64 {

@@ -22,8 +22,8 @@ func TestSingleFlowDrains(t *testing.T) {
 	if n != 20 {
 		t.Errorf("delivered %d, want 20", n)
 	}
-	if l.Backlog() != 0 {
-		t.Errorf("backlog %d", l.Backlog())
+	if l.BacklogPackets() != 0 {
+		t.Errorf("backlog %d", l.BacklogPackets())
 	}
 }
 
@@ -82,7 +82,7 @@ func TestOverflowDrops(t *testing.T) {
 	for i := int64(0); i < 30; i++ {
 		l.Enqueue(packet.NewData(1, i, packet.MSS, packet.NotECT))
 	}
-	if l.Drops() == 0 {
+	if _, overflow, _ := l.Counts(); overflow == 0 {
 		t.Error("no overflow drops")
 	}
 	s.RunUntil(time.Second)
@@ -99,7 +99,7 @@ func TestCoDelEngagesPerQueue(t *testing.T) {
 	ep.Start()
 	s.RunUntil(30 * time.Second)
 	// CoDel ECN-marks the flow (ECN off here → drops) and keeps sojourn low.
-	if l.CoDelDrops() == 0 {
+	if codel, _, _ := l.Counts(); codel == 0 {
 		t.Error("CoDel never engaged")
 	}
 	mean := l.Sojourn.Mean()

@@ -5,7 +5,31 @@ import (
 	"time"
 
 	"pi2/internal/packet"
+	"pi2/internal/stats"
 )
+
+// Bottleneck is the queue surface the scenario assembler drives. Link,
+// core.DualLink and fq.Link implement it; each owns an Auditor. Callers
+// on the per-packet path bind Enqueue to the concrete type once rather
+// than dispatching through the interface for every packet.
+type Bottleneck interface {
+	Enqueue(*packet.Packet)
+	RateBps() float64
+	SetRateBps(float64)
+	// QueueDelayNow is the backlog divided by the current capacity.
+	QueueDelayNow() time.Duration
+	// DeliveredBytes and Utilization cover the measurement window that
+	// ResetStats restarts, as do the collector and counters below.
+	DeliveredBytes() int64
+	Utilization() float64
+	ResetStats()
+	// SojournStats is the per-packet queuing-delay collector (seconds).
+	SojournStats() stats.Quantiler
+	// Counts returns the enqueue-policy drops (AQM, CoDel, Classic
+	// squared drop), buffer-overflow drops and CE marks.
+	Counts() (aqmDrops, overflowDrops, marks int)
+	Audit() *Auditor
+}
 
 // Auditor is the always-on invariant checker wired into the link's hot
 // path. Every Link owns one; it observes each packet event (offer, drop,
@@ -87,9 +111,9 @@ func (a *Auditor) clock(now time.Duration) {
 
 // Conserve asserts the continuous conservation identities against the
 // queue's live occupancy. The observation methods below are exported so
-// other bottleneck implementations (core.DualLink) can wire the same
-// auditor into their data paths; within a single simulation they are only
-// ever called from that simulation's goroutine.
+// other bottleneck implementations (core.DualLink, fq.Link) can wire the
+// same auditor into their data paths; within a single simulation they are
+// only ever called from that simulation's goroutine.
 func (a *Auditor) Conserve(now time.Duration, backlogPackets, backlogBytes int) {
 	if backlogPackets < 0 || backlogBytes < 0 {
 		a.violate(now, "negative occupancy: backlog %d packets / %d bytes",

@@ -68,7 +68,7 @@ type Link struct {
 	txDoneFn sim.Event
 
 	// pool recycles dropped packets (delivered ones are released by their
-	// terminal consumer, which may sit behind further hops — see Chain).
+	// terminal consumer).
 	pool *packet.Pool
 
 	// Statistics.
@@ -285,6 +285,17 @@ func (l *Link) TotalDrops() int { return l.drops[DropAQM] + l.drops[DropOverflow
 
 // Marks returns how many packets were CE-marked.
 func (l *Link) Marks() int { return l.marks }
+
+// Counts implements Bottleneck.
+func (l *Link) Counts() (aqmDrops, overflowDrops, marks int) {
+	return l.drops[DropAQM], l.drops[DropOverflow], l.marks
+}
+
+// SojournStats implements Bottleneck: the Sojourn collector.
+func (l *Link) SojournStats() stats.Quantiler { return l.Sojourn }
+
+// DeliveredBytes implements Bottleneck: the Delivered meter's count.
+func (l *Link) DeliveredBytes() int64 { return l.Delivered.Bytes() }
 
 // Enqueues returns how many packets were offered to the queue.
 func (l *Link) Enqueues() int { return l.enqueues }

@@ -181,8 +181,8 @@ func BindSeq(cc CongestionControl, sndUna, sndNxt *int64) bool {
 }
 
 // Enqueuer is the bottleneck's ingress: it takes ownership of the packet.
-// *link.Link's Enqueue method and *core.DualLink's Enqueue method both
-// satisfy it.
+// Any link.Bottleneck's Enqueue method satisfies it; traffic.Ingress binds
+// one to its concrete type so the per-packet call skips interface dispatch.
 type Enqueuer func(*packet.Packet)
 
 // NewWithEnqueuer creates an endpoint that transmits through an arbitrary

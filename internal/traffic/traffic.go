@@ -8,12 +8,29 @@ import (
 	"math"
 	"time"
 
+	"pi2/internal/core"
+	"pi2/internal/fq"
 	"pi2/internal/link"
 	"pi2/internal/packet"
 	"pi2/internal/sim"
 	"pi2/internal/stats"
 	"pi2/internal/tcp"
 )
+
+// Ingress returns b's Enqueue as a method value bound to its concrete type,
+// so a sender calling it per packet makes no interface dispatch. Callers
+// hoist it once per bottleneck.
+func Ingress(b link.Bottleneck) tcp.Enqueuer {
+	switch q := b.(type) {
+	case *link.Link:
+		return q.Enqueue
+	case *core.DualLink:
+		return q.Enqueue
+	case *fq.Link:
+		return q.Enqueue
+	}
+	return b.Enqueue
+}
 
 // BulkFlowSpec describes a group of identical long-running TCP flows.
 type BulkFlowSpec struct {
@@ -53,19 +70,18 @@ type UDPSource struct {
 	Sent     stats.RateMeter
 	Received stats.RateMeter
 	flowID   int
-	simr     *sim.Simulator
-	link     *link.Link
+	enqueue  tcp.Enqueuer
 	pool     *packet.Pool
 	timer    sim.Timer
 }
 
-// StartUDP wires a UDP source into the simulation: packets enter the link
-// and delivered ones are counted via the dispatcher.
-func StartUDP(s *sim.Simulator, l *link.Link, d *link.Dispatcher, flowID int, spec UDPSpec) *UDPSource {
+// StartUDP wires a UDP source into the simulation: packets enter the
+// bottleneck and delivered ones are counted via the dispatcher.
+func StartUDP(s *sim.Simulator, b link.Bottleneck, d *link.Dispatcher, flowID int, spec UDPSpec) *UDPSource {
 	if spec.PacketLen == 0 {
 		spec.PacketLen = packet.FullLen
 	}
-	u := &UDPSource{Spec: spec, flowID: flowID, simr: s, link: l, pool: s.PacketPool()}
+	u := &UDPSource{Spec: spec, flowID: flowID, enqueue: Ingress(b), pool: s.PacketPool()}
 	d.Register(flowID, func(p *packet.Packet) {
 		u.Received.Add(p.WireLen)
 		u.pool.Release(p) // UDP sink: terminal owner of delivered packets
@@ -88,7 +104,7 @@ func (u *UDPSource) emit() {
 	p.WireLen = u.Spec.PacketLen
 	p.ECN = packet.NotECT
 	u.Sent.Add(p.WireLen)
-	u.link.Enqueue(p)
+	u.enqueue(p)
 }
 
 // ResetStats restarts both meters — the runner calls this at the warm-up
@@ -116,15 +132,16 @@ func (g *BulkGroup) Goodput(now time.Duration) float64 {
 // StartBulk creates, registers and schedules a group of bulk TCP flows.
 // Flow IDs are assigned sequentially from firstID; the next free ID is
 // returned.
-func StartBulk(s *sim.Simulator, l *link.Link, d *link.Dispatcher, firstID int, spec BulkFlowSpec) (*BulkGroup, int) {
+func StartBulk(s *sim.Simulator, b link.Bottleneck, d *link.Dispatcher, firstID int, spec BulkFlowSpec) (*BulkGroup, int) {
 	g := &BulkGroup{Spec: spec, Flows: make([]*tcp.Endpoint, 0, spec.Count)}
+	enq := Ingress(b)
 	id := firstID
 	for i := 0; i < spec.Count; i++ {
 		cc, mode, err := tcp.NewCCFeedback(spec.CC, spec.Feedback)
 		if err != nil {
 			panic(err)
 		}
-		ep := tcp.New(s, l, tcp.Config{
+		ep := tcp.NewWithEnqueuer(s, enq, tcp.Config{
 			ID:       id,
 			CC:       cc,
 			ECN:      mode,
@@ -148,9 +165,10 @@ func StartBulk(s *sim.Simulator, l *link.Link, d *link.Dispatcher, firstID int, 
 // stageLen. Flows persist across stages when the count stays ≥ their rank,
 // exactly like starting/stopping iperf instances. Used by Figures 6 and 13
 // (10:30:50:30:10 over 50 s stages).
-func StagedCounts(s *sim.Simulator, l *link.Link, d *link.Dispatcher, firstID int,
+func StagedCounts(s *sim.Simulator, b link.Bottleneck, d *link.Dispatcher, firstID int,
 	cc string, rtt time.Duration, counts []int, stageLen time.Duration) ([]*tcp.Endpoint, int) {
 
+	enq := Ingress(b)
 	maxCount := 0
 	for _, c := range counts {
 		if c > maxCount {
@@ -179,7 +197,7 @@ func StagedCounts(s *sim.Simulator, l *link.Link, d *link.Dispatcher, firstID in
 		if err != nil {
 			panic(err)
 		}
-		ep := tcp.New(s, l, tcp.Config{ID: id, CC: ccImpl, ECN: mode, BaseRTT: rtt})
+		ep := tcp.NewWithEnqueuer(s, enq, tcp.Config{ID: id, CC: ccImpl, ECN: mode, BaseRTT: rtt})
 		d.Register(id, ep.DeliverData)
 		s.At(time.Duration(first)*stageLen, ep.Start)
 		stop := time.Duration(last+1) * stageLen
@@ -221,14 +239,14 @@ type WebWorkload struct {
 	Started, Finished int
 
 	s      *sim.Simulator
-	l      *link.Link
+	enq    tcp.Enqueuer
 	d      *link.Dispatcher
 	nextID *int
 }
 
 // StartWeb launches a web-like workload. nextID is advanced for every
 // generated flow so callers can keep allocating unique IDs.
-func StartWeb(s *sim.Simulator, l *link.Link, d *link.Dispatcher, nextID *int, spec WebSpec) *WebWorkload {
+func StartWeb(s *sim.Simulator, b link.Bottleneck, d *link.Dispatcher, nextID *int, spec WebSpec) *WebWorkload {
 	if spec.Shape == 0 {
 		spec.Shape = 1.2
 	}
@@ -238,7 +256,7 @@ func StartWeb(s *sim.Simulator, l *link.Link, d *link.Dispatcher, nextID *int, s
 	if spec.MaxSegs == 0 {
 		spec.MaxSegs = 2000
 	}
-	w := &WebWorkload{Spec: spec, FCT: &stats.Sample{}, s: s, l: l, d: d, nextID: nextID}
+	w := &WebWorkload{Spec: spec, FCT: &stats.Sample{}, s: s, enq: Ingress(b), d: d, nextID: nextID}
 	rng := s.RNG()
 	var arrive func()
 	arrive = func() {
@@ -262,7 +280,7 @@ func (w *WebWorkload) launch(u float64) {
 	id := *w.nextID
 	*w.nextID = id + 1
 	started := w.s.Now()
-	ep := tcp.New(w.s, w.l, tcp.Config{
+	ep := tcp.NewWithEnqueuer(w.s, w.enq, tcp.Config{
 		ID:       id,
 		CC:       cc,
 		ECN:      mode,
