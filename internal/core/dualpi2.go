@@ -122,8 +122,7 @@ type DualLink struct {
 	Delivered          stats.RateMeter
 	drops              [2]int // by link.DropAQM / link.DropOverflow
 	lMarks, cMarks     int
-	busySince          time.Duration
-	busyTotal          time.Duration
+	tx                 link.BusyMeter
 
 	// aud is the always-on invariant auditor shared with link.Link: the
 	// same conservation identities hold over the combined L+C backlog.
@@ -274,7 +273,7 @@ func (d *DualLink) startTx() {
 	d.aud.Conserve(now, d.lq.len()+d.cq.len(), d.lq.bytes+d.cq.bytes)
 
 	d.busy = true
-	d.busySince = now
+	d.tx.Start(now)
 	d.txPkt = p
 	txTime := time.Duration(float64(p.WireLen*8) / d.rate * float64(time.Second))
 	d.sim.After(txTime, d.txDoneFn)
@@ -286,7 +285,7 @@ func (d *DualLink) startTx() {
 func (d *DualLink) txDone() {
 	p := d.txPkt
 	d.txPkt = nil
-	d.busyTotal += d.sim.Now() - d.busySince
+	d.tx.Stop(d.sim.Now())
 	d.Delivered.Add(p.WireLen)
 	d.aud.Delivered(p, d.sim.Now())
 	d.deliver(p)
@@ -342,17 +341,9 @@ func (d *DualLink) ResetStats() {
 	d.Delivered.Reset(d.sim.Now())
 	d.drops = [2]int{}
 	d.lMarks, d.cMarks = 0, 0
+	d.tx.Reset(d.sim.Now(), d.busy)
 }
 
-// Utilization returns the busy fraction since simulation start.
-func (d *DualLink) Utilization() float64 {
-	now := d.sim.Now()
-	busy := d.busyTotal
-	if d.busy {
-		busy += now - d.busySince
-	}
-	if now <= 0 {
-		return 0
-	}
-	return float64(busy) / float64(now)
-}
+// Utilization returns the busy fraction since the last ResetStats (or
+// since start).
+func (d *DualLink) Utilization() float64 { return d.tx.Utilization(d.sim.Now(), d.busy) }

@@ -98,8 +98,7 @@ type Link struct {
 	Delivered stats.RateMeter
 	drops     [2]int // by link.DropAQM (CoDel) / link.DropOverflow
 	marks     int
-	busySince time.Duration
-	busyTotal time.Duration
+	tx        link.BusyMeter
 
 	aud link.Auditor
 }
@@ -263,7 +262,7 @@ func (l *Link) startTx() {
 	l.Sojourn.Add((now - p.EnqueuedAt).Seconds())
 
 	l.busy = true
-	l.busySince = now
+	l.tx.Start(now)
 	l.txPkt = p
 	txTime := time.Duration(float64(p.WireLen*8) / l.rate * float64(time.Second))
 	l.sim.After(txTime, l.txDoneFn)
@@ -274,7 +273,7 @@ func (l *Link) startTx() {
 func (l *Link) txDone() {
 	p := l.txPkt
 	l.txPkt = nil
-	l.busyTotal += l.sim.Now() - l.busySince
+	l.tx.Stop(l.sim.Now())
 	l.Delivered.Add(p.WireLen)
 	l.aud.Delivered(p, l.sim.Now())
 	l.deliver(p)
@@ -338,17 +337,9 @@ func (l *Link) ResetStats() {
 	l.Sojourn.Reset()
 	l.Delivered.Reset(l.sim.Now())
 	l.drops, l.marks = [2]int{}, 0
+	l.tx.Reset(l.sim.Now(), l.busy)
 }
 
-// Utilization returns the busy fraction since simulation start.
-func (l *Link) Utilization() float64 {
-	now := l.sim.Now()
-	busy := l.busyTotal
-	if l.busy {
-		busy += now - l.busySince
-	}
-	if now <= 0 {
-		return 0
-	}
-	return float64(busy) / float64(now)
-}
+// Utilization returns the busy fraction since the last ResetStats (or
+// since start).
+func (l *Link) Utilization() float64 { return l.tx.Utilization(l.sim.Now(), l.busy) }

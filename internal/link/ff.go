@@ -22,7 +22,7 @@ import (
 // post-epoch sojourn measurements are not inflated by the jump. The busy
 // accounting is intentionally NOT shifted: the stay-in-epoch band guarantees
 // a backlogged link, so the epoch counts as busy time — the in-flight
-// packet's (shifted) completion absorbs delta into busyTotal.
+// packet's (shifted) completion absorbs delta into the busy total.
 func (l *Link) FFShift(delta time.Duration) {
 	if delta <= 0 {
 		return

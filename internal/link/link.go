@@ -72,15 +72,13 @@ type Link struct {
 	pool *packet.Pool
 
 	// Statistics.
-	Sojourn    stats.Quantiler // per-packet queuing delay, seconds
-	Delivered  stats.RateMeter
-	drops      map[DropReason]int
-	marks      int
-	enqueues   int
-	dequeues   int
-	busySince  time.Duration
-	busyTotal  time.Duration
-	statsSince time.Duration
+	Sojourn   stats.Quantiler // per-packet queuing delay, seconds
+	Delivered stats.RateMeter
+	drops     map[DropReason]int
+	marks     int
+	enqueues  int
+	dequeues  int
+	tx        BusyMeter
 
 	// OnDrop, if set, is invoked for every dropped packet (AQM or
 	// overflow) so transports can count losses without owning the queue.
@@ -237,7 +235,7 @@ func (l *Link) startTx() {
 	l.Sojourn.Add((now - p.EnqueuedAt).Seconds())
 
 	l.busy = true
-	l.busySince = now
+	l.tx.Start(now)
 	l.txPkt = p
 	txTime := time.Duration(float64(p.WireLen*8) / l.rate * float64(time.Second))
 	l.sim.After(txTime, l.txDoneFn)
@@ -249,7 +247,7 @@ func (l *Link) startTx() {
 func (l *Link) txDone() {
 	p := l.txPkt
 	l.txPkt = nil
-	l.busyTotal += l.sim.Now() - l.busySince
+	l.tx.Stop(l.sim.Now())
 	l.Delivered.Add(p.WireLen)
 	l.aud.Delivered(p, l.sim.Now())
 	l.deliver(p)
@@ -305,17 +303,40 @@ func (l *Link) Dequeues() int { return l.dequeues }
 
 // Utilization returns the fraction of time the transmitter was busy since
 // the last ResetStats (or since start).
-func (l *Link) Utilization() float64 {
-	now := l.sim.Now()
-	busy := l.busyTotal
-	if l.busy {
-		busy += now - l.busySince
+func (l *Link) Utilization() float64 { return l.tx.Utilization(l.sim.Now(), l.busy) }
+
+// BusyMeter accumulates a transmitter's busy time over a measurement
+// window. Every Bottleneck implementation embeds one, so Utilization and
+// its ResetStats window mean the same thing for every queue.
+type BusyMeter struct {
+	since, total, window time.Duration
+}
+
+// Start marks the transmitter busy from now.
+func (m *BusyMeter) Start(now time.Duration) { m.since = now }
+
+// Stop ends the busy period that Start began.
+func (m *BusyMeter) Stop(now time.Duration) { m.total += now - m.since }
+
+// Utilization returns the busy fraction of the window up to now; busy
+// reports whether a busy period is still open.
+func (m *BusyMeter) Utilization(now time.Duration, busy bool) float64 {
+	t := m.total
+	if busy {
+		t += now - m.since
 	}
-	total := now - l.statsSince
-	if total <= 0 {
+	if now <= m.window {
 		return 0
 	}
-	return float64(busy) / float64(total)
+	return float64(t) / float64(now-m.window)
+}
+
+// Reset starts a fresh window at now.
+func (m *BusyMeter) Reset(now time.Duration, busy bool) {
+	m.total, m.window = 0, now
+	if busy {
+		m.since = now
+	}
 }
 
 // ResetStats starts a fresh measurement window at the current time.
@@ -329,11 +350,7 @@ func (l *Link) ResetStats() {
 	l.marks = 0
 	l.enqueues = 0
 	l.dequeues = 0
-	l.busyTotal = 0
-	l.statsSince = now
-	if l.busy {
-		l.busySince = now
-	}
+	l.tx.Reset(now, l.busy)
 }
 
 // AQM returns the attached queue manager.
