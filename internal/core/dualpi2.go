@@ -119,8 +119,8 @@ type DualLink struct {
 	// the first enqueue). Pointing both at one collector yields the
 	// combined queue-delay distribution.
 	LSojourn, CSojourn stats.Quantiler // seconds
-	Delivered          stats.RateMeter
-	drops              [2]int // by link.DropAQM / link.DropOverflow
+	delivered          int64           // bytes since ResetStats
+	drops              [2]int          // by link.DropAQM / link.DropOverflow
 	lMarks, cMarks     int
 	tx                 link.BusyMeter
 
@@ -286,7 +286,7 @@ func (d *DualLink) txDone() {
 	p := d.txPkt
 	d.txPkt = nil
 	d.tx.Stop(d.sim.Now())
-	d.Delivered.Add(p.WireLen)
+	d.delivered += int64(p.WireLen)
 	d.aud.Delivered(p, d.sim.Now())
 	d.deliver(p)
 	d.busy = false
@@ -326,7 +326,7 @@ func (d *DualLink) QueueDelayNow() time.Duration {
 func (d *DualLink) SojournStats() stats.Quantiler { return d.LSojourn }
 
 // DeliveredBytes implements link.Bottleneck.
-func (d *DualLink) DeliveredBytes() int64 { return d.Delivered.Bytes() }
+func (d *DualLink) DeliveredBytes() int64 { return d.delivered }
 
 // Counts implements link.Bottleneck; marks sum both queues.
 func (d *DualLink) Counts() (aqmDrops, overflowDrops, marks int) {
@@ -338,7 +338,7 @@ func (d *DualLink) Counts() (aqmDrops, overflowDrops, marks int) {
 func (d *DualLink) ResetStats() {
 	d.LSojourn.Reset()
 	d.CSojourn.Reset()
-	d.Delivered.Reset(d.sim.Now())
+	d.delivered = 0
 	d.drops = [2]int{}
 	d.lMarks, d.cMarks = 0, 0
 	d.tx.Reset(d.sim.Now(), d.busy)

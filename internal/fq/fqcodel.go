@@ -95,8 +95,8 @@ type Link struct {
 
 	// Statistics.
 	Sojourn   stats.Quantiler // seconds
-	Delivered stats.RateMeter
-	drops     [2]int // by link.DropAQM (CoDel) / link.DropOverflow
+	delivered int64           // bytes since ResetStats
+	drops     [2]int          // by link.DropAQM (CoDel) / link.DropOverflow
 	marks     int
 	tx        link.BusyMeter
 
@@ -274,7 +274,7 @@ func (l *Link) txDone() {
 	p := l.txPkt
 	l.txPkt = nil
 	l.tx.Stop(l.sim.Now())
-	l.Delivered.Add(p.WireLen)
+	l.delivered += int64(p.WireLen)
 	l.aud.Delivered(p, l.sim.Now())
 	l.deliver(p)
 	l.busy = false
@@ -321,7 +321,7 @@ func (l *Link) QueueDelayNow() time.Duration {
 func (l *Link) SojournStats() stats.Quantiler { return l.Sojourn }
 
 // DeliveredBytes implements link.Bottleneck.
-func (l *Link) DeliveredBytes() int64 { return l.Delivered.Bytes() }
+func (l *Link) DeliveredBytes() int64 { return l.delivered }
 
 // Counts implements link.Bottleneck: CoDel drops count as AQM drops.
 func (l *Link) Counts() (aqmDrops, overflowDrops, marks int) {
@@ -335,7 +335,7 @@ func (l *Link) Audit() *link.Auditor { return &l.aud }
 // link.Link.ResetStats's semantics. The auditor is never reset.
 func (l *Link) ResetStats() {
 	l.Sojourn.Reset()
-	l.Delivered.Reset(l.sim.Now())
+	l.delivered = 0
 	l.drops, l.marks = [2]int{}, 0
 	l.tx.Reset(l.sim.Now(), l.busy)
 }

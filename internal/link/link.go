@@ -306,7 +306,7 @@ func (l *Link) Dequeues() int { return l.dequeues }
 func (l *Link) Utilization() float64 { return l.tx.Utilization(l.sim.Now(), l.busy) }
 
 // BusyMeter accumulates a transmitter's busy time over a measurement
-// window. Every Bottleneck implementation embeds one, so Utilization and
+// window. Every Bottleneck implementation keeps one, so Utilization and
 // its ResetStats window mean the same thing for every queue.
 type BusyMeter struct {
 	since, total, window time.Duration
